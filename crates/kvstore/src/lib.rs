@@ -12,7 +12,7 @@
 //!   persistent and recoverable.
 //!
 //! The memcached item layout (key, flags, value) is preserved in the item
-//! bytes; LRU is per-shard with stamp-ordered eviction.
+//! bytes; LRU is per-stripe with stamp-ordered eviction.
 
 pub mod protocol;
 pub mod router;
@@ -59,7 +59,7 @@ enum ItemRef {
     Montage(PHandle<[u8]>),
 }
 
-struct Shard {
+struct Stripe {
     map: HashMap<Key, (ItemRef, u64)>,
     lru: BTreeMap<u64, Key>,
     /// Key-ordered mirror of `map`'s key set, maintained at every insert
@@ -69,9 +69,9 @@ struct Shard {
     next_stamp: u64,
 }
 
-impl Shard {
+impl Stripe {
     fn new() -> Self {
-        Shard {
+        Stripe {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             ordered: BTreeSet::new(),
@@ -91,11 +91,12 @@ impl Shard {
     }
 }
 
-/// The cache. `capacity` bounds items per shard (memcached's memory cap).
+/// The cache. `capacity` bounds the item count, split evenly across stripes
+/// (memcached's memory cap).
 pub struct KvStore {
     backend: KvBackend,
-    shards: Box<[Mutex<Shard>]>,
-    capacity_per_shard: usize,
+    stripes: Box<[Mutex<Stripe>]>,
+    capacity_per_stripe: usize,
     len: AtomicUsize,
     evictions: AtomicUsize,
     /// Detectable-operations state: one durable descriptor per session (see
@@ -109,12 +110,12 @@ pub struct KvStore {
 const KEY_BYTES: usize = 32;
 
 impl KvStore {
-    pub fn new(backend: KvBackend, shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0);
+    pub fn new(backend: KvBackend, stripes: usize, capacity: usize) -> Self {
+        assert!(stripes > 0);
         KvStore {
             backend,
-            capacity_per_shard: (capacity / shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            capacity_per_stripe: (capacity / stripes).max(1),
+            stripes: (0..stripes).map(|_| Mutex::new(Stripe::new())).collect(),
             len: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             sessions: SessionTable::default(),
@@ -127,23 +128,23 @@ impl KvStore {
     /// across the crash.
     pub fn recover(
         esys: Arc<EpochSys>,
-        shards: usize,
+        stripes: usize,
         capacity: usize,
         rec: &RecoveredState,
     ) -> Self {
-        let store = Self::new(KvBackend::Montage(esys), shards, capacity);
+        let store = Self::new(KvBackend::Montage(esys), stripes, capacity);
         for item in rec.shards.iter().flatten() {
             match item.tag {
                 KV_TAG => {
                     let key: Key = rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap());
-                    let mut shard = store.shards[store.index(&key)].lock();
-                    let stamp = shard.next_stamp;
-                    shard.next_stamp += 1;
-                    shard
+                    let mut stripe = store.stripes[store.index(&key)].lock();
+                    let stamp = stripe.next_stamp;
+                    stripe.next_stamp += 1;
+                    stripe
                         .map
                         .insert(key, (ItemRef::Montage(item.handle()), stamp));
-                    shard.lru.insert(stamp, key);
-                    shard.ordered.insert(key);
+                    stripe.lru.insert(stamp, key);
+                    stripe.ordered.insert(key);
                     store.len.fetch_add(1, Ordering::Relaxed);
                 }
                 SESSION_TAG => {
@@ -226,7 +227,7 @@ impl KvStore {
     fn index(&self, key: &Key) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        (h.finish() as usize) % self.stripes.len()
     }
 
     pub fn len(&self) -> usize {
@@ -250,7 +251,7 @@ impl KvStore {
     /// what capacity planning needs.
     pub fn ordered_mirror_bytes(&self) -> usize {
         const PER_KEY: usize = std::mem::size_of::<Key>() + 2 * std::mem::size_of::<usize>();
-        self.shards
+        self.stripes
             .iter()
             .map(|s| s.lock().ordered.len() * PER_KEY)
             .sum()
@@ -288,9 +289,9 @@ impl KvStore {
 
     /// memcached `get`: applies `f` to the value bytes on hit.
     pub fn get<R>(&self, _tid: usize, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let mut shard = self.shards[self.index(key)].lock();
-        shard.touch(key);
-        let (item, _) = shard.map.get(key)?;
+        let mut stripe = self.stripes[self.index(key)].lock();
+        stripe.touch(key);
+        let (item, _) = stripe.map.get(key)?;
         Some(match (&self.backend, item) {
             (_, ItemRef::Dram(b)) => f(b),
             (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
@@ -311,14 +312,14 @@ impl KvStore {
 
     /// memcached `set`: insert or overwrite.
     pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
-        let mut shard = self.shards[self.index(&key)].lock();
-        self.set_locked(tid, &mut shard, key, value);
+        let mut stripe = self.stripes[self.index(&key)].lock();
+        self.set_locked(tid, &mut stripe, key, value);
     }
 
-    /// [`KvStore::set`] under an already-held shard lock (the locked
+    /// [`KvStore::set`] under an already-held stripe lock (the locked
     /// read-modify-write path applies its verdict without releasing).
-    fn set_locked(&self, tid: usize, shard: &mut Shard, key: Key, value: &[u8]) {
-        if let Some((item, _)) = shard.map.get_mut(&key) {
+    fn set_locked(&self, tid: usize, stripe: &mut Stripe, key: Key, value: &[u8]) {
+        if let Some((item, _)) = stripe.map.get_mut(&key) {
             // Update in place where the backend supports it.
             match (&self.backend, &mut *item) {
                 (_, ItemRef::Dram(b)) if b.len() == value.len() => {
@@ -342,7 +343,7 @@ impl KvStore {
                     if same_len {
                         *h = esys
                             .set_bytes(&g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
-                            .expect("shard lock orders epochs");
+                            .expect("stripe lock orders epochs");
                     } else {
                         let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
                         bytes.extend_from_slice(&key);
@@ -354,15 +355,15 @@ impl KvStore {
                 }
                 _ => unreachable!("item/backend mismatch"),
             }
-            shard.touch(&key);
+            stripe.touch(&key);
             return;
         }
         // Insert (with LRU eviction at capacity).
-        if shard.map.len() >= self.capacity_per_shard {
-            if let Some((&oldest, &victim)) = shard.lru.iter().next() {
-                shard.lru.remove(&oldest);
-                if let Some((item, _)) = shard.map.remove(&victim) {
-                    shard.ordered.remove(&victim);
+        if stripe.map.len() >= self.capacity_per_stripe {
+            if let Some((&oldest, &victim)) = stripe.lru.iter().next() {
+                stripe.lru.remove(&oldest);
+                if let Some((item, _)) = stripe.map.remove(&victim) {
+                    stripe.ordered.remove(&victim);
                     self.free_item(tid, item);
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -370,27 +371,27 @@ impl KvStore {
             }
         }
         let item = self.make_item(tid, &key, value);
-        let stamp = shard.next_stamp;
-        shard.next_stamp += 1;
-        shard.map.insert(key, (item, stamp));
-        shard.lru.insert(stamp, key);
-        shard.ordered.insert(key);
+        let stamp = stripe.next_stamp;
+        stripe.next_stamp += 1;
+        stripe.map.insert(key, (item, stamp));
+        stripe.lru.insert(stamp, key);
+        stripe.ordered.insert(key);
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
     /// memcached `delete`.
     pub fn delete(&self, tid: usize, key: &Key) -> bool {
-        let mut shard = self.shards[self.index(key)].lock();
-        self.delete_locked(tid, &mut shard, key)
+        let mut stripe = self.stripes[self.index(key)].lock();
+        self.delete_locked(tid, &mut stripe, key)
     }
 
-    /// [`KvStore::delete`] under an already-held shard lock.
-    fn delete_locked(&self, tid: usize, shard: &mut Shard, key: &Key) -> bool {
-        let Some((item, stamp)) = shard.map.remove(key) else {
+    /// [`KvStore::delete`] under an already-held stripe lock.
+    fn delete_locked(&self, tid: usize, stripe: &mut Stripe, key: &Key) -> bool {
+        let Some((item, stamp)) = stripe.map.remove(key) else {
             return false;
         };
-        shard.lru.remove(&stamp);
-        shard.ordered.remove(key);
+        stripe.lru.remove(&stamp);
+        stripe.ordered.remove(key);
         self.free_item(tid, item);
         self.len.fetch_sub(1, Ordering::Relaxed);
         true
@@ -406,11 +407,11 @@ impl KvStore {
             return Vec::new();
         }
         let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
-        for stripe in self.shards.iter() {
-            let shard = stripe.lock();
-            for key in shard.ordered.range(*lo..=*hi) {
+        for stripe in self.stripes.iter() {
+            let stripe = stripe.lock();
+            for key in stripe.ordered.range(*lo..=*hi) {
                 let value = self
-                    .read_value_locked(&shard, key)
+                    .read_value_locked(&stripe, key)
                     .expect("ordered mirrors map");
                 out.push((*key, value));
             }
@@ -420,10 +421,10 @@ impl KvStore {
         out
     }
 
-    /// The key's current value bytes under an already-held shard lock —
+    /// The key's current value bytes under an already-held stripe lock —
     /// the read half of every locked read-modify-write.
-    fn read_value_locked(&self, shard: &Shard, key: &Key) -> Option<Vec<u8>> {
-        let (item, _) = shard.map.get(key)?;
+    fn read_value_locked(&self, stripe: &Stripe, key: &Key) -> Option<Vec<u8>> {
+        let (item, _) = stripe.map.get(key)?;
         Some(match (&self.backend, item) {
             (_, ItemRef::Dram(b)) => b.to_vec(),
             (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
@@ -443,7 +444,7 @@ impl KvStore {
     }
 
     /// An atomic read-modify-write: runs `decide` on the key's current
-    /// value and applies its verdict while **holding the shard lock across
+    /// value and applies its verdict while **holding the stripe lock across
     /// both**, so two racing mutations of one key serialize — the second
     /// decides against the first's result. This is what makes the
     /// sessionless protocol path's conditional ops (`cas`/`add`/`incr`)
@@ -456,20 +457,20 @@ impl KvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let mut shard = self.shards[self.index(key)].lock();
-        let current = self.read_value_locked(&shard, key);
+        let mut stripe = self.stripes[self.index(key)].lock();
+        let current = self.read_value_locked(&stripe, key);
         let (write, reply) = decide(current.as_deref());
         match &self.backend {
             KvBackend::Montage(esys) => {
                 let g = esys.begin_op(ThreadId(tid));
-                self.apply_montage_write(esys, &g, &mut shard, key, write);
+                self.apply_montage_write(esys, &g, &mut stripe, key, write);
             }
             _ => match write {
                 DetectedWrite::Keep => {}
                 DetectedWrite::Delete => {
-                    self.delete_locked(tid, &mut shard, key);
+                    self.delete_locked(tid, &mut stripe, key);
                 }
-                DetectedWrite::Upsert(v) => self.set_locked(tid, &mut shard, *key, &v),
+                DetectedWrite::Upsert(v) => self.set_locked(tid, &mut stripe, *key, &v),
             },
         }
         reply
@@ -512,7 +513,7 @@ impl KvStore {
         // racing retries of the same request serialize on the slot (the
         // loser answered from the winner's descriptor) while unrelated
         // sessions run concurrently — contending, at most, on the mutated
-        // key's shard lock like any other mutation.
+        // key's stripe lock like any other mutation.
         let slot = self.sessions.slot(sid);
         let mut entry = slot.lock();
         if let Some(rec) = entry.as_ref() {
@@ -529,11 +530,11 @@ impl KvStore {
         }
         let (result, handle) = match &self.backend {
             KvBackend::Montage(esys) => {
-                let mut shard = self.shards[self.index(key)].lock();
+                let mut stripe = self.stripes[self.index(key)].lock();
                 let g = esys.begin_op(ThreadId(tid));
-                let current = self.read_value_locked(&shard, key);
+                let current = self.read_value_locked(&stripe, key);
                 let (write, result) = decide(current.as_deref());
-                self.apply_montage_write(esys, &g, &mut shard, key, write);
+                self.apply_montage_write(esys, &g, &mut stripe, key, write);
                 let desc = session_table::encode_descriptor(sid, rid, op_kind, &result);
                 let handle = match entry.as_ref().and_then(|r| r.handle) {
                     // Fixed-size descriptor: always a same-length overwrite,
@@ -559,14 +560,14 @@ impl KvStore {
         DetectOutcome::Applied(result)
     }
 
-    /// Applies a [`DetectedWrite`] to a Montage shard under the caller's
+    /// Applies a [`DetectedWrite`] to a Montage stripe under the caller's
     /// already-open operation guard (same index/LRU bookkeeping as
     /// [`KvStore::set`]/[`KvStore::delete`], but no nested `begin_op`).
     fn apply_montage_write(
         &self,
         esys: &Arc<EpochSys>,
         g: &OpGuard<'_>,
-        shard: &mut Shard,
+        stripe: &mut Stripe,
         key: &Key,
         write: DetectedWrite,
     ) {
@@ -579,15 +580,15 @@ impl KvStore {
         match write {
             DetectedWrite::Keep => {}
             DetectedWrite::Delete => {
-                if let Some((item, stamp)) = shard.map.remove(key) {
-                    shard.lru.remove(&stamp);
-                    shard.ordered.remove(key);
+                if let Some((item, stamp)) = stripe.map.remove(key) {
+                    stripe.lru.remove(&stamp);
+                    stripe.ordered.remove(key);
                     pdelete_item(item);
                     self.len.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             DetectedWrite::Upsert(value) => {
-                if let Some((item, _)) = shard.map.get_mut(key) {
+                if let Some((item, _)) = stripe.map.get_mut(key) {
                     let ItemRef::Montage(h) = item else {
                         unreachable!("item/backend mismatch")
                     };
@@ -596,7 +597,7 @@ impl KvStore {
                     if same_len {
                         *h = esys
                             .set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(&value))
-                            .expect("shard lock orders epochs");
+                            .expect("stripe lock orders epochs");
                     } else {
                         let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
                         bytes.extend_from_slice(key);
@@ -605,14 +606,14 @@ impl KvStore {
                         let _ = esys.pdelete(g, *h);
                         *h = nh;
                     }
-                    shard.touch(key);
+                    stripe.touch(key);
                     return;
                 }
-                if shard.map.len() >= self.capacity_per_shard {
-                    if let Some((&oldest, &victim)) = shard.lru.iter().next() {
-                        shard.lru.remove(&oldest);
-                        if let Some((item, _)) = shard.map.remove(&victim) {
-                            shard.ordered.remove(&victim);
+                if stripe.map.len() >= self.capacity_per_stripe {
+                    if let Some((&oldest, &victim)) = stripe.lru.iter().next() {
+                        stripe.lru.remove(&oldest);
+                        if let Some((item, _)) = stripe.map.remove(&victim) {
+                            stripe.ordered.remove(&victim);
                             pdelete_item(item);
                             self.len.fetch_sub(1, Ordering::Relaxed);
                             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -623,11 +624,11 @@ impl KvStore {
                 bytes.extend_from_slice(key);
                 bytes.extend_from_slice(&value);
                 let item = ItemRef::Montage(esys.pnew_bytes(g, KV_TAG, &bytes));
-                let stamp = shard.next_stamp;
-                shard.next_stamp += 1;
-                shard.map.insert(*key, (item, stamp));
-                shard.lru.insert(stamp, *key);
-                shard.ordered.insert(*key);
+                let stamp = stripe.next_stamp;
+                stripe.next_stamp += 1;
+                stripe.map.insert(*key, (item, stamp));
+                stripe.lru.insert(stamp, *key);
+                stripe.ordered.insert(*key);
                 self.len.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -763,7 +764,7 @@ mod tests {
 
     #[test]
     fn detected_sessions_race_without_store_wide_serialization() {
-        // Distinct sessions mutating distinct keys only contend on shard
+        // Distinct sessions mutating distinct keys only contend on stripe
         // locks; racing them end-to-end still yields per-session exactly-once
         // counts and one descriptor each.
         let esys = EpochSys::format(

@@ -245,15 +245,6 @@ impl Session {
         Session::sharded(store, lease)
     }
 
-    /// Wraps an already-leased worker id (the server's session registry
-    /// leases ids per connection and returns them on disconnect; the
-    /// session does not own the id).
-    pub fn with_tid(store: Arc<KvStore>, tid: usize) -> Self {
-        let store = ShardedKvStore::single(store);
-        let lease = Arc::new(store.lease_prefilled(vec![Some(tid)]));
-        Session::sharded(store, lease)
-    }
-
     /// A session over a sharded store with a caller-managed lease (the
     /// server's registry shares one lease per connection).
     pub fn sharded(store: Arc<ShardedKvStore>, lease: Arc<StoreLease>) -> Self {

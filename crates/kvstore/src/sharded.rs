@@ -281,18 +281,6 @@ impl ShardedKvStore {
         StoreLease {
             tids: (0..self.shards.len()).map(|_| Mutex::new(None)).collect(),
             store: self.clone(),
-            owned: true,
-        }
-    }
-
-    /// Wraps worker ids the caller already owns (one per shard, `None` for
-    /// not-yet-leased). The handle will not unregister them on drop.
-    pub fn lease_prefilled(self: &Arc<Self>, tids: Vec<Option<usize>>) -> StoreLease {
-        assert_eq!(tids.len(), self.shards.len());
-        StoreLease {
-            tids: tids.into_iter().map(Mutex::new).collect(),
-            store: self.clone(),
-            owned: false,
         }
     }
 
@@ -587,9 +575,6 @@ impl ShardedKvStore {
 pub struct StoreLease {
     store: Arc<ShardedKvStore>,
     tids: Box<[Mutex<Option<usize>>]>,
-    /// Leases made through [`ShardedKvStore::lease`] are returned on drop;
-    /// prefilled wrappers borrow ids the caller owns.
-    owned: bool,
 }
 
 impl StoreLease {
@@ -616,9 +601,6 @@ impl StoreLease {
 
 impl Drop for StoreLease {
     fn drop(&mut self) {
-        if !self.owned {
-            return;
-        }
         for (shard, slot) in self.tids.iter().enumerate() {
             if let Some(tid) = slot.lock().take() {
                 self.store.shard(shard).unregister_thread(tid);

@@ -12,6 +12,8 @@
 //! * [`MontageNbQueue`] — a nonblocking Michael–Scott queue that linearizes
 //!   through [`montage::VerifyCell::cas_verify`], demonstrating the paper's
 //!   Sec. 3.3 recipe for lock-free structures.
+//! * [`MontageSortedList`] — a Harris-style lock-free sorted list with
+//!   consistent `range(lo, hi)` scans: the ordered map.
 //! * [`MontageGraph`] — the general graph of Sec. 6.3: a payload per vertex
 //!   and per edge (edges name their endpoints; vertices do **not** point to
 //!   edges, avoiding long persistent pointer chains), with transient
@@ -22,20 +24,14 @@
 
 pub mod graph;
 pub mod hashmap;
-pub mod nbmap;
 pub mod nbqueue;
-pub mod nbstack;
 pub mod queue;
-pub mod skiplist;
 pub mod sortedlist;
 
 pub use graph::MontageGraph;
 pub use hashmap::MontageHashMap;
-pub use nbmap::MontageNbMap;
 pub use nbqueue::MontageNbQueue;
-pub use nbstack::MontageStack;
 pub use queue::MontageQueue;
-pub use skiplist::MontageSkipListMap;
 pub use sortedlist::MontageSortedList;
 
 /// Payload type tags used by the bundled structures (pass your own when
@@ -44,11 +40,10 @@ pub mod tags {
     pub const HASHMAP: u16 = 1;
     pub const QUEUE: u16 = 2;
     pub const NBQUEUE: u16 = 3;
-    pub const NBMAP: u16 = 7;
-    pub const SKIPLIST: u16 = 8;
-    pub const STACK: u16 = 9;
     pub const GRAPH_VERTEX: u16 = 4;
     pub const GRAPH_EDGE: u16 = 5;
     pub const KVSTORE: u16 = 6;
+    // 7, 8 and 9 are retired: pools written by older builds may still hold
+    // payloads with those tags, so no bundled structure may reuse them.
     pub const SORTED_LIST: u16 = 10;
 }

@@ -1,6 +1,7 @@
 //! A buffered-persistent **sorted linked list** with consistent
-//! `range(lo, hi)` scans — the range-queryable structure behind the wire
-//! `scan` verb.
+//! `range(lo, hi)` scans — the ordered map among the bundled structures.
+//! (The kvstore's wire `scan` verb does not use it: `KvStore::scan` walks
+//! a per-stripe `BTreeSet` mirror kept under each stripe lock.)
 //!
 //! The index is a Harris-style lock-free singly linked list: removal first
 //! *marks* the victim by setting the low tag bit on its `next` pointer (the

@@ -10,9 +10,9 @@
 //! [`VerifyCell::load`] performs **no stores** unless a DCSS is in progress
 //! on the cell, in which case it helps it complete — this is the paper's
 //! `load_verify2`, chosen so read-dominated workloads induce no cache-line
-//! invalidations. (The paper's alternative `load_verify1`, a read-CAS on an
-//! adjacent counter, trades read cost for simpler verification; we implement
-//! the variant used by the reported experiments.)
+//! invalidations. (The paper's alternative, a read-CAS on an adjacent
+//! counter, trades read cost for simpler verification; only the variant
+//! used by the reported experiments is implemented.)
 //!
 //! Values are limited to 62 bits (cells store `v << 1`; the LSB marks an
 //! in-flight descriptor). That comfortably holds transient pointers and

@@ -59,7 +59,6 @@ pub mod payload;
 pub mod recovery;
 pub mod sync;
 pub mod tracker;
-pub mod verify1;
 
 pub use advancer::Advancer;
 pub use config::{EsysConfig, FreeStrategy, PersistStrategy};
@@ -70,4 +69,3 @@ pub use payload::{PHandle, PayloadKind, HDR_SIZE};
 pub use recovery::{
     try_recover, QuarantinedPayload, RecoveredItem, RecoveredState, RecoveryReport,
 };
-pub use verify1::{Cas1Error, CountedCell};

@@ -4,8 +4,7 @@
 
 use montage::{EpochSys, EsysConfig};
 use montage_ds::{
-    tags, MontageGraph, MontageHashMap, MontageNbMap, MontageNbQueue, MontageQueue,
-    MontageSkipListMap, MontageStack,
+    tags, MontageGraph, MontageHashMap, MontageNbQueue, MontageQueue, MontageSortedList,
 };
 use pmem::{PmemConfig, PmemPool};
 
@@ -90,40 +89,38 @@ fn nonblocking_and_ordered_structures_share_a_pool() {
     );
     let tid = esys.register_thread();
 
-    let nbmap = MontageNbMap::<u64>::new(esys.clone(), tags::NBMAP, 32);
-    let skiplist = MontageSkipListMap::<u64>::new(esys.clone(), tags::SKIPLIST);
-    let stack = MontageStack::new(esys.clone(), tags::STACK);
+    let nbq = MontageNbQueue::new(esys.clone(), tags::NBQUEUE);
+    let list = MontageSortedList::<u64>::new(esys.clone(), tags::SORTED_LIST);
 
     for i in 0..40u64 {
-        assert!(nbmap.insert(tid, i, &i.to_le_bytes()));
-        assert!(skiplist.insert(tid, i * 2, &i.to_le_bytes()));
-        stack.push(tid, &i.to_le_bytes());
+        nbq.enqueue(tid, &i.to_le_bytes());
+        assert!(list.insert(tid, i * 2, &i.to_le_bytes()));
         if i % 7 == 0 {
             esys.advance_epoch();
         }
     }
-    nbmap.remove(tid, &5);
-    skiplist.remove(tid, &10);
-    stack.pop(tid);
+    assert_eq!(nbq.dequeue(tid).unwrap(), 0u64.to_le_bytes());
+    assert!(list.remove(tid, &10));
     esys.sync();
 
     let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 3);
-    let nbmap2 = MontageNbMap::<u64>::recover(rec.esys.clone(), tags::NBMAP, 32, &rec);
-    let skiplist2 = MontageSkipListMap::<u64>::recover(rec.esys.clone(), tags::SKIPLIST, &rec);
-    let stack2 = MontageStack::recover(rec.esys.clone(), tags::STACK, &rec);
+    let nbq2 = MontageNbQueue::recover(rec.esys.clone(), tags::NBQUEUE, &rec);
+    let list2 = MontageSortedList::<u64>::recover(rec.esys.clone(), tags::SORTED_LIST, &rec);
 
-    assert_eq!(nbmap2.len(), 39);
-    assert_eq!(skiplist2.len(), 39);
-    assert_eq!(stack2.len_approx(), 39);
+    assert_eq!(nbq2.len_approx(), 39);
+    assert_eq!(list2.len(), 39);
 
     let tid2 = rec.esys.register_thread();
-    assert!(nbmap2.get(tid2, &5, |_| ()).is_none());
-    assert!(skiplist2.get(tid2, &10, |_| ()).is_none());
-    assert_eq!(stack2.pop(tid2).unwrap(), 38u64.to_le_bytes());
-    let keys = skiplist2.keys();
+    assert_eq!(nbq2.dequeue(tid2).unwrap(), 1u64.to_le_bytes());
+    assert!(list2.get(tid2, &10, |_| ()).is_none());
+    let keys: Vec<u64> = list2
+        .range(tid2, &0, &u64::MAX)
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
     assert!(
         keys.windows(2).all(|w| w[0] < w[1]),
-        "skip list stays sorted"
+        "sorted list stays sorted"
     );
 }
 
