@@ -1,5 +1,5 @@
-//! Per-thread `to_persist` and `to_free` containers for the four most recent
-//! epochs, indexed by `epoch % 4` (paper Fig. 3).
+//! Per-thread `to_persist` buckets for the four most recent epochs, indexed
+//! by `epoch % 4` (paper Fig. 3), and a per-thread `to_free` list.
 //!
 //! `to_persist` is the per-thread **circular write-back buffer** of Sec. 5.2,
 //! implemented — as in the paper — as a bespoke lock-free ring: a fixed-
@@ -41,11 +41,10 @@
 //!    reads `seq == i + 1` first (Acquire), so it can never see values older
 //!    than cycle `i`'s;
 //! 2. each field is an individual atomic, so a racing read returns cycle
-//!    `i`'s or a later cycle's value for that field — in a persist ring every
-//!    such value is a valid in-pool extent field (the flush clamps the
-//!    combined extent to the pool just in case), and `clwb` of *any* resident
-//!    extent is semantically a no-op beyond cost; in a free ring `off` is
-//!    always some retired block, which is safe to tombstone early;
+//!    `i`'s or a later cycle's value for that field — every such value is a
+//!    valid in-pool extent field (the flush clamps the combined extent to
+//!    the pool just in case), and `clwb` of *any* resident extent is
+//!    semantically a no-op beyond cost;
 //! 3. the release CAS succeeding from `i + 1` proves `seq` never left the
 //!    claimed state (its transitions are monotone), hence no recycle
 //!    happened, hence the values the helper flushed were exactly cycle
@@ -99,10 +98,7 @@
 //! run (it is sequenced after the release that has not happened), so the
 //! census reads ≥ 1 and the scan runs. Claim windows opened *after* the
 //! census read can only claim entries the drains left visible — entries
-//! pushed by a bypassed straggler (which ride the next boundary by design)
-//! or free-ring entries in buckets still pinned above the reclamation
-//! frontier (whose tombstones only need durability before their claimant —
-//! the sole dealloc authority — frees them, after *its* fence).
+//! pushed by a bypassed straggler, which ride the next boundary by design.
 //!
 //! ## Flush coalescing
 //!
@@ -120,21 +116,20 @@
 //!   caller passes a `still_current` revalidation hook and the push falls
 //!   through to a real enqueue when it fires (see `push_persist`).
 //!
-//! ## Reclamation rings
+//! ## Reclamation list
 //!
-//! `to_free` reuses the same ring (plus a per-thread mutex-protected spill
-//! of `(epoch, block)` pairs that is only touched outside any persistence
-//! event, so a parked thread can never wedge it). The spill takes ring
-//! overflow, and also retirements whose bucket still holds an older epoch:
-//! a bypassed straggler pins reclamation, so a bucket can outlive its four
-//! epochs, and relabelling it would delay its blocks past the
-//! anti-payloads that cancel them. The claimant tombstones + write-backs
-//! each block inside its claim window; helpers can finish that too.
-//! Deallocation authority is *never* helped: only the claimant that
-//! completes the pop returns the block for deallocation, so a parked
-//! claimant leaks its claimed block until it resumes (bounded by one entry
-//! per parked thread) instead of risking a double-free or a premature
-//! reuse.
+//! `to_free` is one per-thread, mutex-protected list of `(epoch, block)`
+//! pairs, each retirement tagged with its exact epoch. Unlike the persist
+//! buckets it is not indexed by `epoch % 4`: a bypassed straggler pins
+//! reclamation, so retirements can outlive four epochs, and an exact tag is
+//! what keeps each block from being freed before (or long after) its own
+//! two-epoch schedule. A reclaimer removes the entries at or below its
+//! limit under the lock and then, outside it, tombstones and writes back
+//! each block; it fences before deallocating them. No persistence event
+//! runs under the lock, so a parked thread can never wedge it, and removal
+//! under the lock makes the reclaimer the sole dealloc authority for what
+//! it took: a parked reclaimer delays its blocks (leaks them until it
+//! resumes), never double-frees them.
 
 use crate::sync::{weaken, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering};
 
@@ -399,24 +394,12 @@ struct PersistBucket {
     ring: Ring,
 }
 
-/// One epoch bucket of retired payloads awaiting reclamation (the
-/// steady-state path; see [`ThreadState::free_spill`] for the rest).
-struct FreeBucket {
-    epoch: AtomicU64,
-    ring: Ring,
-}
-
 /// All buffered state of one thread.
 struct ThreadState {
     persist: [PersistBucket; 4],
-    free: [FreeBucket; 4],
-    /// `(epoch, block)` retirements the free rings could not take: ring
-    /// overflow, or a bucket still holding an older epoch. Heap allocation
-    /// happens only there.
-    free_spill: Mutex<Vec<(u64, u64)>>,
+    /// `(epoch, block)` retirements awaiting reclamation (module docs).
+    to_free: Mutex<Vec<(u64, u64)>>,
     dedup: Box<[DedupEntry]>,
-    /// Line flushes avoided by coalescing (owner-written, exact).
-    coalesced: AtomicU64,
 }
 
 impl ThreadState {
@@ -426,11 +409,7 @@ impl ThreadState {
                 epoch: AtomicU64::new(0),
                 ring: Ring::new(capacity),
             }),
-            free: std::array::from_fn(|_| FreeBucket {
-                epoch: AtomicU64::new(0),
-                ring: Ring::new(capacity),
-            }),
-            free_spill: Mutex::new(Vec::new()),
+            to_free: Mutex::new(Vec::new()),
             dedup: (0..DEDUP_SLOTS)
                 .map(|_| DedupEntry {
                     epoch: AtomicU64::new(DEDUP_DEAD),
@@ -438,7 +417,6 @@ impl ThreadState {
                     last: AtomicU64::new(0),
                 })
                 .collect(),
-            coalesced: AtomicU64::new(0),
         }
     }
 
@@ -464,25 +442,16 @@ fn clwb_clamped(pool: &PmemPool, off: u64, len: u32) {
     pool.clwb_range(POff::new(off), len as usize);
 }
 
-/// Tombstone + write back one retired block (free-ring flush action).
-#[inline]
-fn tombstone_flush(pool: &PmemPool, off: u64) {
-    let blk = POff::new(off);
-    Header::tombstone(pool, blk);
-    // lint: allow(flush-no-fence): tombstone write-backs ride the epoch-boundary sfence, like the persist drains (same harness_ring-checked claim protocol)
-    pool.clwb(blk);
-}
-
 /// Per-thread buffer sets for every registered thread.
 pub struct Buffers {
     threads: Box<[CachePadded<ThreadState>]>,
     capacity: usize,
     /// Census of pop passes currently inside (or about to enter) a claim
-    /// window, across all rings. See the module docs: `advance_epoch` skips
-    /// the `help_drainers` slot scans entirely while this reads zero. A
-    /// consumer parked mid-claim keeps its bracket open — the census stays
-    /// positive and every boundary scans until the claim is helped *and*
-    /// the claimant resumes.
+    /// window, across all persist rings. See the module docs:
+    /// `advance_epoch` skips the `help_drainers` slot scans entirely while
+    /// this reads zero. A consumer parked mid-claim keeps its bracket open —
+    /// the census stays positive and every boundary scans until the claim
+    /// is helped *and* the claimant resumes.
     claims: CachePadded<AtomicUsize>,
 }
 
@@ -544,8 +513,8 @@ impl Buffers {
     /// entry a concurrent boundary drain already flushed, leaving this
     /// push's latest bytes with no resident entry to flush them.
     ///
-    /// Returns the minimum epoch for which this thread still holds
-    /// unpersisted entries (for the mindicator).
+    /// Returns the number of cache-line flushes the push coalesced away
+    /// (0 when it enqueued).
     pub fn push_persist(
         &self,
         pool: &PmemPool,
@@ -570,9 +539,7 @@ impl Buffers {
             && d.last.load(Ordering::Relaxed) >= last
             && still_current()
         {
-            // ord(counter): stats tally, read by the owner.
-            st.coalesced.fetch_add(last - first + 1, Ordering::Relaxed);
-            return self.min_pending(tid);
+            return last - first + 1;
         }
 
         let b = &st.persist[(epoch % 4) as usize];
@@ -614,21 +581,13 @@ impl Buffers {
         d.last.store(last, Ordering::Relaxed);
         // ord(relaxed): owner-only.
         d.epoch.store(epoch, Ordering::Relaxed);
-        self.min_pending(tid)
-    }
-
-    /// Line flushes thread `tid` has avoided through coalescing so far
-    /// (monotonic; exact when read by the owner).
-    pub fn coalesced_lines(&self, tid: usize) -> u64 {
-        // ord(counter): stats tally; no ordering contract.
-        self.threads[tid].coalesced.load(Ordering::Relaxed)
+        0
     }
 
     /// Writes back (without fencing) all of thread `tid`'s entries for
     /// `epoch`. Safe to call concurrently with other drainers and — for
-    /// epochs the owner can no longer push into — with the owner. Returns
-    /// the thread's new minimum pending epoch.
-    pub fn drain_persist(&self, pool: &PmemPool, tid: usize, epoch: u64) -> u64 {
+    /// epochs the owner can no longer push into — with the owner.
+    pub fn drain_persist(&self, pool: &PmemPool, tid: usize, epoch: u64) {
         let st = &self.threads[tid];
         let b = &st.persist[(epoch % 4) as usize];
         // ord(acquire): pairs with the owner's bucket-epoch publish.
@@ -636,11 +595,10 @@ impl Buffers {
             let _census = self.claim_scope();
             while b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
         }
-        self.min_pending(tid)
     }
 
     /// Writes back all of `tid`'s entries for every epoch `<= epoch`.
-    pub fn drain_persist_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) -> u64 {
+    pub fn drain_persist_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) {
         let st = &self.threads[tid];
         for b in st.persist.iter() {
             // ord(acquire): pairs with the owner's bucket-epoch publish.
@@ -649,24 +607,17 @@ impl Buffers {
                 while b.ring.pop_with(|o, l| clwb_clamped(pool, o, l)).is_some() {}
             }
         }
-        self.min_pending(tid)
     }
 
     /// Finishes the write-back + release of any of thread `tid`'s ring
     /// entries whose consumer is parked inside its claim window (a stalled
-    /// boundary drainer, a stalled overflow pop, a stalled reclamation
-    /// pass). Called by `advance_epoch` after its drains and **before** the
-    /// boundary fence, in place of the old counter rendezvous: wait-free,
-    /// and duplicate `clwb`s with a claimant that later resumes are
-    /// idempotent. Deallocation of free-ring blocks is *not* helped — only
-    /// the claimant returns blocks for deallocation.
+    /// boundary drainer or a stalled overflow pop). Called by
+    /// `advance_epoch` after its drains and **before** the boundary fence,
+    /// in place of the old counter rendezvous: wait-free, and duplicate
+    /// `clwb`s with a claimant that later resumes are idempotent.
     pub fn help_drainers(&self, pool: &PmemPool, tid: usize) {
-        let st = &self.threads[tid];
-        for b in st.persist.iter() {
+        for b in self.threads[tid].persist.iter() {
             b.ring.help_claimed(|o, l| clwb_clamped(pool, o, l));
-        }
-        for b in st.free.iter() {
-            b.ring.help_claimed(|o, _| tombstone_flush(pool, o));
         }
     }
 
@@ -674,94 +625,45 @@ impl Buffers {
     /// `tid`'s rings (see [`Ring::debug_claimed`]).
     #[doc(hidden)]
     pub fn debug_claimed(&self, tid: usize) -> usize {
-        let st = &self.threads[tid];
-        st.persist
+        self.threads[tid]
+            .persist
             .iter()
             .map(|b| b.ring.debug_claimed())
-            .chain(st.free.iter().map(|b| b.ring.debug_claimed()))
             .sum()
     }
 
     /// Schedules block `blk` (retired in `epoch`) for reclamation two epochs
-    /// later. Owner-only; allocation-free until the ring overflows.
-    pub fn push_free(&self, pool: &PmemPool, tid: usize, epoch: u64, blk: POff) {
-        let st = &self.threads[tid];
-        let b = &st.free[(epoch % 4) as usize];
-        // ord(relaxed): owner-only; the owner is the only labeller.
-        if !b.ring.is_empty() && b.epoch.load(Ordering::Relaxed) != epoch {
-            // The bucket still holds an older epoch that reclamation has not
-            // reached; keep both labels exact.
-            st.free_spill.lock().push((epoch, blk.raw()));
-            return;
-        }
-        // ord(publish): reclaimers acquire the bucket epoch before popping.
-        b.epoch.store(epoch, Ordering::Release);
-        if b.ring
-            .push_with(blk.raw(), 0, |o, _| tombstone_flush(pool, o))
-            .is_err()
-        {
-            st.free_spill.lock().push((epoch, blk.raw()));
-        }
+    /// later. Owner-only.
+    pub fn push_free(&self, tid: usize, epoch: u64, blk: POff) {
+        self.threads[tid].to_free.lock().push((epoch, blk.raw()));
     }
 
     /// Reclaims thread `tid`'s retirements for all epochs `<= epoch`:
-    /// tombstones each block header (scheduling the line for write-back, so
-    /// the sweep can never resurrect it) and returns the blocks for
+    /// tombstones each block header and schedules its line for write-back
+    /// (so the sweep can never resurrect it), then returns the blocks for
     /// deallocation. The caller fences and deallocates. Used by worker-local
-    /// reclamation in `BEGIN_OP` and by the advance, which also catches up
-    /// on buckets skipped while their epoch was pinned by a straggler.
+    /// reclamation in `BEGIN_OP` and by the advance.
     pub fn take_free_upto(&self, pool: &PmemPool, tid: usize, epoch: u64) -> Vec<POff> {
-        let st = &self.threads[tid];
-        let mut out = Vec::new();
-        for b in st.free.iter() {
-            // ord(acquire): pairs with the owner's bucket-epoch publish.
-            if b.epoch.load(Ordering::Acquire) <= epoch {
-                out.extend(self.drain_free_bucket(pool, b));
-            }
-        }
-        out.extend(Self::drain_free_spill(pool, st, |e| e <= epoch));
-        out
-    }
-
-    fn drain_free_bucket(&self, pool: &PmemPool, b: &FreeBucket) -> Vec<POff> {
-        let mut blocks = Vec::new();
-        // Tombstone + write back inside the claim window (helpers can then
-        // finish a parked pass), but collect for deallocation only what WE
-        // popped: dealloc authority is never shared.
-        let _census = self.claim_scope();
-        while let Some((o, _)) = b.ring.pop_with(|o, _| tombstone_flush(pool, o)) {
-            blocks.push(POff::new(o));
-        }
-        blocks
-    }
-
-    /// Tombstones and returns the spilled retirements whose epoch `take`s.
-    fn drain_free_spill(
-        pool: &PmemPool,
-        st: &ThreadState,
-        take: impl Fn(u64) -> bool,
-    ) -> Vec<POff> {
-        let mut taken = Vec::new();
-        // No persistence event happens under the spill lock, so a parked
-        // thread can never be holding it.
-        st.free_spill.lock().retain(|&(e, o)| {
-            let keep = !take(e);
-            if !keep {
-                taken.push(POff::new(o));
-            }
-            keep
-        });
-        for &o in &taken {
-            tombstone_flush(pool, o.raw());
+        // The lock is released at the end of this statement: no persistence
+        // event ever runs under it (module docs).
+        let taken: Vec<POff> = self.threads[tid]
+            .to_free
+            .lock()
+            .extract_if(.., |&mut (e, _)| e <= epoch)
+            .map(|(_, o)| POff::new(o))
+            .collect();
+        for &blk in &taken {
+            Header::tombstone(pool, blk);
+            // lint: allow(flush-no-fence): the caller fences before it deallocates (the boundary sfence in advance_epoch, or the worker-local reclaim's own sfence)
+            pool.clwb(blk);
         }
         taken
     }
 
     /// Minimum epoch with unpersisted entries across **this thread's**
     /// buckets ([`u64::MAX`] if none). Lock-free exact scan: 4 buckets × a
-    /// handful of atomic loads — cheap enough to be the authoritative gate
-    /// in `advance_epoch` (the mindicator remains a monotone hint). A
-    /// claimed-but-unreleased entry is invisible here; the boundary covers
+    /// handful of atomic loads — cheap enough to be the per-thread gate in
+    /// `advance_epoch`. A claimed-but-unreleased entry is invisible here; the boundary covers
     /// it with [`Buffers::help_drainers`], never by waiting.
     pub fn min_pending(&self, tid: usize) -> u64 {
         self.threads[tid]
@@ -835,8 +737,8 @@ mod tests {
         let b = Buffers::new(1, 8);
         push(&b, &p, 0, 9, POff::new(4096), 64);
         push(&b, &p, 0, 10, POff::new(8192), 64);
-        let min = b.drain_persist_upto(&p, 0, 10);
-        assert_eq!(min, u64::MAX);
+        b.drain_persist_upto(&p, 0, 10);
+        assert_eq!(b.min_pending(0), u64::MAX);
     }
 
     #[test]
@@ -854,7 +756,7 @@ mod tests {
             8,
             Header::data_sum(&[0u8; 8]),
         );
-        b.push_free(&p, 0, 7, blk);
+        b.push_free(0, 7, blk);
         assert!(
             b.take_free_upto(&p, 0, 6).is_empty(),
             "an earlier limit yields nothing"
@@ -864,7 +766,7 @@ mod tests {
         assert_eq!(Header::magic(&p, blk), crate::payload::MAGIC_TOMBSTONE);
         assert!(
             b.take_free_upto(&p, 0, 7).is_empty(),
-            "drained bucket is empty"
+            "taken entries leave the list"
         );
     }
 
@@ -881,10 +783,10 @@ mod tests {
     fn repeated_same_extent_pushes_coalesce_to_one_flush() {
         let p = pool();
         let b = Buffers::new(1, 8);
-        for _ in 0..6 {
-            push(&b, &p, 0, 4, POff::new(4096), 64);
-        }
-        assert_eq!(b.coalesced_lines(0), 5, "five of six pushes coalesced");
+        let saved: u64 = (0..6)
+            .map(|_| push(&b, &p, 0, 4, POff::new(4096), 64))
+            .sum();
+        assert_eq!(saved, 5, "five of six pushes coalesced");
         let before = p.stats().snapshot().clwbs;
         b.drain_persist(&p, 0, 4);
         assert_eq!(
@@ -903,8 +805,11 @@ mod tests {
         let p = pool();
         let b = Buffers::new(1, 8);
         b.push_persist(&p, 0, 4, POff::new(4096), 64, || true);
-        b.push_persist(&p, 0, 4, POff::new(4096), 64, || false);
-        assert_eq!(b.coalesced_lines(0), 0, "stale push must not coalesce");
+        assert_eq!(
+            b.push_persist(&p, 0, 4, POff::new(4096), 64, || false),
+            0,
+            "stale push must not coalesce"
+        );
         let before = p.stats().snapshot().clwbs;
         b.drain_persist(&p, 0, 4);
         assert_eq!(
@@ -920,11 +825,9 @@ mod tests {
         let b = Buffers::new(1, 8);
         // 3-line entry, then a 1-line re-push of its first line: covered.
         push(&b, &p, 0, 4, POff::new(4096), 192);
-        push(&b, &p, 0, 4, POff::new(4096), 8);
-        assert_eq!(b.coalesced_lines(0), 1);
+        assert_eq!(push(&b, &p, 0, 4, POff::new(4096), 8), 1);
         // Growing the extent is NOT covered and must enqueue.
-        push(&b, &p, 0, 4, POff::new(4096), 256);
-        assert_eq!(b.coalesced_lines(0), 1);
+        assert_eq!(push(&b, &p, 0, 4, POff::new(4096), 256), 0);
         let before = p.stats().snapshot().clwbs;
         b.drain_persist(&p, 0, 4);
         // Entry 1 (3 lines) + entry 3 (4 lines).
@@ -939,8 +842,7 @@ mod tests {
         b.drain_persist(&p, 0, 4);
         // Same extent, next epoch: the old ring entry is gone, so this push
         // must enqueue again (the table entry's epoch tag misses).
-        push(&b, &p, 0, 5, POff::new(4096), 64);
-        assert_eq!(b.coalesced_lines(0), 0);
+        assert_eq!(push(&b, &p, 0, 5, POff::new(4096), 64), 0);
         let before = p.stats().snapshot().clwbs;
         b.drain_persist(&p, 0, 5);
         assert_eq!(p.stats().snapshot().clwbs - before, 1);
@@ -958,9 +860,8 @@ mod tests {
         assert_eq!(p.stats().snapshot().clwbs, 1);
         // ...so a new same-epoch push of `hot` must NOT coalesce against the
         // now-dead entry: it must re-enter the ring to reach the boundary.
-        push(&b, &p, 0, 4, hot, 64);
         assert_eq!(
-            b.coalesced_lines(0),
+            push(&b, &p, 0, 4, hot, 64),
             0,
             "stale table entry must not coalesce"
         );
@@ -1269,16 +1170,20 @@ mod tests {
         let b = Buffers::new(1, 8);
         push(&b, &p, 0, 7, POff::new(4096), 64);
         assert_eq!(p.stats().snapshot().clwbs, 0);
-        let min = push(&b, &p, 0, 11, POff::new(8192), 64);
+        push(&b, &p, 0, 11, POff::new(8192), 64);
         assert_eq!(p.stats().snapshot().clwbs, 1, "epoch-7 entry written back");
-        assert_eq!(min, 11, "only the epoch-11 entry stays pending");
+        assert_eq!(
+            b.min_pending(0),
+            11,
+            "only the epoch-11 entry stays pending"
+        );
     }
 
     #[test]
-    fn free_bucket_reuse_keeps_both_epochs_exact() {
-        // Reclamation pinned by a straggler leaves epoch 7 in its bucket
-        // when epoch 11 retires into the same one. Neither may take the
-        // other's label: epoch 7 must not wait for 11, nor 11 go with 7.
+    fn retirements_keep_their_exact_epochs() {
+        // Reclamation pinned by a straggler leaves epoch 7 pending when
+        // epoch 11 retires. Neither may take the other's epoch: epoch 7
+        // must not wait for 11, nor 11 go with 7.
         let p = pool();
         let b = Buffers::new(1, 8);
         let blks: Vec<POff> = [7u64, 11]
@@ -1296,7 +1201,7 @@ mod tests {
                     8,
                     Header::data_sum(&[0u8; 8]),
                 );
-                b.push_free(&p, 0, epoch, blk);
+                b.push_free(0, epoch, blk);
                 blk
             })
             .collect();
@@ -1306,27 +1211,59 @@ mod tests {
     }
 
     #[test]
-    fn free_ring_spills_over_capacity_without_loss() {
+    fn concurrent_retire_and_reclaim_take_each_block_once() {
+        use std::sync::atomic::AtomicU64 as A64;
+        use std::sync::Arc;
+
+        // The owner retires one block per epoch E, E+4, E+8, … — every one
+        // of them maps to the same `epoch % 4` index — while a reclaimer
+        // races it with a rising limit that trails the retirements, so it
+        // always finds entries on both sides of its limit.
+        const E: u64 = 7;
+        const N: u64 = 2_000;
+        let epoch_of = |blk: POff| E + 4 * ((blk.raw() - 4096) / 64);
         let p = pool();
-        let b = Buffers::new(1, 2);
-        let mut blks = Vec::new();
-        for i in 0..10u64 {
-            let blk = POff::new(4096 + i * 128);
-            Header::write_new(
-                &p,
-                blk,
-                crate::payload::PayloadKind::Alloc,
-                0,
-                7,
-                i,
-                8,
-                Header::data_sum(&[0u8; 8]),
-            );
-            b.push_free(&p, 0, 7, blk);
-            blks.push(blk);
-        }
-        let mut freed = b.take_free_upto(&p, 0, 7);
-        freed.sort();
-        assert_eq!(freed, blks, "ring + spill return every block");
+        let b = Arc::new(Buffers::new(1, 2));
+        let retired = Arc::new(A64::new(0));
+        let mut taken = std::thread::scope(|s| {
+            {
+                let (b, retired) = (b.clone(), retired.clone());
+                s.spawn(move || {
+                    for i in 0..N {
+                        b.push_free(0, E + 4 * i, POff::new(4096 + i * 64));
+                        retired.store(i + 1, std::sync::atomic::Ordering::Release);
+                    }
+                });
+            }
+            let (b, p, retired) = (b.clone(), p.clone(), retired.clone());
+            s.spawn(move || {
+                let mut taken = Vec::new();
+                loop {
+                    let done = retired.load(std::sync::atomic::Ordering::Acquire);
+                    let limit = E + 4 * (done / 2);
+                    for blk in b.take_free_upto(&p, 0, limit) {
+                        assert!(
+                            epoch_of(blk) <= limit,
+                            "took epoch {} under limit {limit}",
+                            epoch_of(blk)
+                        );
+                        taken.push(blk);
+                    }
+                    if done == N {
+                        break taken;
+                    }
+                    std::thread::yield_now();
+                }
+            })
+            .join()
+            .unwrap()
+        });
+        taken.extend(b.take_free_upto(&p, 0, u64::MAX));
+        taken.sort();
+        assert_eq!(
+            taken,
+            (0..N).map(|i| POff::new(4096 + i * 64)).collect::<Vec<_>>(),
+            "every retired block taken exactly once"
+        );
     }
 }

@@ -32,7 +32,7 @@ impl fmt::Display for OldSeeNewException {
 
 impl std::error::Error for OldSeeNewException {}
 
-/// Returned by `CHECK_EPOCH` (and `CAS_verify`) when the global epoch clock
+/// Returned by `CAS_verify` when the global epoch clock
 /// no longer matches the operation's registered epoch; the operation must
 /// restart to linearize within a single epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,8 +8,8 @@
 //!    *e+1* to *e+2* (`advance_epoch`), and recovery discards epochs *e* and
 //!    *e−1* after a crash in *e*;
 //! 3. operations linearize in the epoch in which they created payloads —
-//!    supported by `CHECK_EPOCH`, the `OldSeeNewException`, and the
-//!    [`crate::dcss`] primitives.
+//!    supported by the `OldSeeNewException` and the [`crate::dcss`]
+//!    primitives.
 
 use std::sync::Arc;
 
@@ -22,8 +22,7 @@ use ralloc::Ralloc;
 
 use crate::buffers::Buffers;
 use crate::config::{EsysConfig, FreeStrategy, PersistStrategy};
-use crate::errors::{EpochChanged, OldSeeNewException};
-use crate::mindicator::Mindicator;
+use crate::errors::OldSeeNewException;
 use crate::payload::{Header, PHandle, PayloadKind, HDR_SIZE};
 use crate::tracker::{Tracker, IDLE};
 
@@ -80,7 +79,6 @@ pub struct EpochSys {
     cfg: EsysConfig,
     tracker: Tracker,
     buffers: Buffers,
-    mind: Mindicator,
     /// Highest clock value known to be *flushed* (clwb + fence issued on a
     /// healthy pool). The transient clock may run ahead of this when an
     /// advance's winner is preempted between its clock store and its clwb;
@@ -139,7 +137,6 @@ impl EpochSys {
         EpochSys {
             tracker: Tracker::new(cfg.max_threads),
             buffers: Buffers::new(cfg.max_threads, cap),
-            mind: Mindicator::new(cfg.max_threads),
             durable_clock: AtomicU64::new(clock_now),
             sync_requested: AtomicU64::new(0),
             next_tid: AtomicUsize::new(0),
@@ -343,26 +340,35 @@ impl EpochSys {
             }
         };
 
-        // Help any waiting sync persist our older buffered payloads
-        // ("at the beginning of each operation, a worker also helps to
-        // persist its payloads from the previous epoch if they are needed by
-        // any active sync").
+        self.op_start_duties(tid.0, epoch);
+
+        OpGuard {
+            esys: self,
+            tid,
+            epoch,
+            owns: true,
+        }
+    }
+
+    /// Cooperative duties of a thread that just registered in `epoch`:
+    /// help any waiting sync persist its older buffered payloads ("at the
+    /// beginning of each operation, a worker also helps to persist its
+    /// payloads from the previous epoch if they are needed by any active
+    /// sync"), and run worker-local reclamation (the "+LocalFree"
+    /// configuration). Must run after the announce/validate loop confirmed
+    /// the clock at `epoch`.
+    fn op_start_duties(&self, tid: usize, epoch: u64) {
         if matches!(self.cfg.persist, PersistStrategy::Buffered(_)) {
             // ord(relaxed): a hint; a missed request is caught by the next
             // boundary (sync never relies on this edge for durability).
             let want = self.sync_requested.load(Ordering::Relaxed);
-            if want != 0 && self.buffers.min_pending(tid.0) < epoch {
-                let min = self
-                    .buffers
-                    .drain_persist_upto(&self.pool, tid.0, epoch - 1);
-                self.mind.publish(tid.0, min);
+            if want != 0 && self.buffers.min_pending(tid) < epoch {
+                self.buffers.drain_persist_upto(&self.pool, tid, epoch - 1);
             }
         }
-
-        // Worker-local reclamation (the "+LocalFree" configuration).
         if self.cfg.free == FreeStrategy::WorkerLocal {
             // ord(relaxed): last_epoch[tid] is owner-only.
-            let last = self.last_epoch[tid.0].swap(epoch, Ordering::Relaxed);
+            let last = self.last_epoch[tid].swap(epoch, Ordering::Relaxed);
             if epoch > last {
                 // The frontier scan runs *after* the announce/validate loop
                 // confirmed clock == epoch, so every thread still registered
@@ -370,7 +376,7 @@ impl EpochSys {
                 // a bypassed straggler pins the frontier instead of being
                 // freed out from under.
                 let limit = Self::reclaim_limit(epoch, self.tracker.oldest_active());
-                let blocks = self.buffers.take_free_upto(&self.pool, tid.0, limit);
+                let blocks = self.buffers.take_free_upto(&self.pool, tid, limit);
                 if !blocks.is_empty() {
                     self.pool.sfence();
                     for b in blocks {
@@ -378,13 +384,6 @@ impl EpochSys {
                     }
                 }
             }
-        }
-
-        OpGuard {
-            esys: self,
-            tid,
-            epoch,
-            owns: true,
         }
     }
 
@@ -444,39 +443,8 @@ impl EpochSys {
             }
         };
 
-        // Same cooperative duties as BEGIN_OP, hoisted to once per batch:
-        // help a waiting sync persist our older buffered payloads, and run
-        // worker-local reclamation.
-        if matches!(self.cfg.persist, PersistStrategy::Buffered(_)) {
-            // ord(relaxed): a hint; a missed request is caught by the next
-            // boundary (sync never relies on this edge for durability).
-            let want = self.sync_requested.load(Ordering::Relaxed);
-            if want != 0 && self.buffers.min_pending(tid.0) < epoch {
-                let min = self
-                    .buffers
-                    .drain_persist_upto(&self.pool, tid.0, epoch - 1);
-                self.mind.publish(tid.0, min);
-            }
-        }
-        if self.cfg.free == FreeStrategy::WorkerLocal {
-            // ord(relaxed): last_epoch[tid] is owner-only.
-            let last = self.last_epoch[tid.0].swap(epoch, Ordering::Relaxed);
-            if epoch > last {
-                // The frontier scan runs *after* the announce/validate loop
-                // confirmed clock == epoch, so every thread still registered
-                // in an older epoch is visible to it (see `reclaim_limit`);
-                // a bypassed straggler pins the frontier instead of being
-                // freed out from under.
-                let limit = Self::reclaim_limit(epoch, self.tracker.oldest_active());
-                let blocks = self.buffers.take_free_upto(&self.pool, tid.0, limit);
-                if !blocks.is_empty() {
-                    self.pool.sfence();
-                    for b in blocks {
-                        self.ralloc.dealloc(b);
-                    }
-                }
-            }
-        }
+        // Same cooperative duties as BEGIN_OP, hoisted to once per batch.
+        self.op_start_duties(tid.0, epoch);
 
         // ord(relaxed): owner-only flag.
         self.pinned[tid.0].store(true, Ordering::Relaxed);
@@ -499,20 +467,6 @@ impl EpochSys {
             self.pool.sfence();
         }
         self.tracker.unregister(tid.0);
-    }
-
-    /// `CHECK_EPOCH`: fails if the clock moved past the operation's epoch.
-    #[inline]
-    pub fn check_epoch(&self, g: &OpGuard<'_>) -> Result<(), EpochChanged> {
-        let cur = self.clock().load(Ordering::SeqCst);
-        if cur == g.epoch {
-            Ok(())
-        } else {
-            Err(EpochChanged {
-                op_epoch: g.epoch,
-                current_epoch: cur,
-            })
-        }
     }
 
     // ---- uid allocation ------------------------------------------------------
@@ -551,7 +505,6 @@ impl EpochSys {
     fn record_persist(&self, tid: usize, epoch: u64, blk: POff, len: u32) {
         match self.cfg.persist {
             PersistStrategy::Buffered(_) => {
-                let before = self.buffers.coalesced_lines(tid);
                 // The revalidation closure defeats coalescing against an
                 // entry whose boundary already ran: if the clock has moved
                 // past this op's epoch, the covering entry may have drained
@@ -561,20 +514,17 @@ impl EpochSys {
                 // them. A SeqCst clock read is exact: while it still returns
                 // `epoch`, no boundary for `epoch` has published, so a
                 // dedup-hit entry is still resident and will flush our bytes.
-                let min = self
+                let saved = self
                     .buffers
                     .push_persist(&self.pool, tid, epoch, blk, len, || {
                         self.clock().load(Ordering::SeqCst) == epoch
                     });
-                // Owner-read delta, so the count is exact per push.
-                let saved = self.buffers.coalesced_lines(tid) - before;
                 if saved > 0 {
                     // ord(counter): stats tally.
                     self.stats
                         .flushes_coalesced
                         .fetch_add(saved, Ordering::Relaxed);
                 }
-                self.mind.publish(tid, min);
             }
             // lint: allow(flush-no-fence): DirWB defers the fence to the epoch boundary, like the buffered path; the clock-CAS/mirror ordering at that boundary is model-checked by interleave's harness_epoch
             PersistStrategy::DirWB => self.pool.clwb_range(blk, len as usize),
@@ -915,8 +865,7 @@ impl EpochSys {
                     // outlives the data it cancels.
                     Header::set_kind(&self.pool, blk, PayloadKind::Delete);
                     self.record_persist(g.tid.0, g.epoch, blk, HDR_SIZE as u32);
-                    self.buffers
-                        .push_free(&self.pool, g.tid.0, g.epoch + 1, blk);
+                    self.buffers.push_free(g.tid.0, g.epoch + 1, blk);
                 }
                 PayloadKind::Delete => unreachable!("double pdelete of an anti-payload"),
             }
@@ -934,8 +883,7 @@ impl EpochSys {
                 Header::data_sum(&[]),
             );
             self.record_persist(g.tid.0, g.epoch, anti, HDR_SIZE as u32);
-            self.buffers
-                .push_free(&self.pool, g.tid.0, g.epoch + 1, anti);
+            self.buffers.push_free(g.tid.0, g.epoch + 1, anti);
             self.retire(g, blk, g.epoch);
         }
         Ok(())
@@ -947,7 +895,7 @@ impl EpochSys {
             Header::tombstone(&self.pool, blk);
             self.ralloc.dealloc(blk);
         } else {
-            self.buffers.push_free(&self.pool, g.tid.0, epoch, blk);
+            self.buffers.push_free(g.tid.0, epoch, blk);
         }
     }
 
@@ -992,8 +940,8 @@ impl EpochSys {
     ///   fence covers them all. Only the straggler's *unfinished* op can
     ///   have unflushed bytes, and unfinished ops are never acked.
     /// - *reclamation*: the straggler pins [`Tracker::oldest_active`], so
-    ///   blocks it may still reference are not freed (they age in the free
-    ///   buckets until it moves on).
+    ///   blocks it may still reference are not freed (they age in the
+    ///   `to_free` lists until it moves on).
     /// - *its own later pushes*: a bypassed op that resumes and pushes more
     ///   entries labelled *e−1* after the boundary just rides a later
     ///   boundary; its `sync` (and hence any ack) waits for that one.
@@ -1009,18 +957,12 @@ impl EpochSys {
             .wait_all_bounded(e - 1, self.cfg.advance_grace_spins);
 
         let n = self.registered();
-        // Write back all payloads of epoch e-1. The mindicator (a monotone,
-        // owner-published hint — it may lag low, never high) gates the pass
-        // wholesale; within it, the per-thread lock-free ring scan is exact,
-        // so untouched threads cost four atomic loads and no drain. The
-        // advancer never publishes to the mindicator: only owners do, which
-        // removes the old stale-overwrite race between a drainer's publish
-        // and a concurrent owner push.
-        if self.mind.min() < e {
-            for t in 0..n {
-                if self.buffers.min_pending(t) < e {
-                    self.buffers.drain_persist_upto(&self.pool, t, e - 1);
-                }
+        // Write back all payloads of epoch e-1. The per-thread lock-free
+        // ring scan is exact, so untouched threads cost four atomic loads
+        // and no drain.
+        for t in 0..n {
+            if self.buffers.min_pending(t) < e {
+                self.buffers.drain_persist_upto(&self.pool, t, e - 1);
             }
         }
 
@@ -1358,18 +1300,6 @@ mod tests {
         let e0 = s.curr_epoch();
         s.sync();
         assert!(s.curr_epoch() >= e0 + 2);
-    }
-
-    #[test]
-    fn check_epoch_detects_advance() {
-        let s = sys(EsysConfig::default());
-        let tid = s.register_thread();
-        let g = s.begin_op(tid);
-        assert!(s.check_epoch(&g).is_ok());
-        // Advance concurrently (the guard is in epoch e; advance waits only
-        // for e-1, so this cannot deadlock).
-        s.advance_epoch();
-        assert!(s.check_epoch(&g).is_err());
     }
 
     #[test]

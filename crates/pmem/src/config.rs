@@ -81,16 +81,6 @@ impl LatencyModel {
         // ~2.5 GB/s of single-DIMM read bandwidth.
         media_read_line_ns: 25,
     };
-
-    /// Zero-cost model (functional testing only).
-    pub const ZERO: LatencyModel = LatencyModel {
-        clwb_issue_ns: 0,
-        fence_per_line_ns: 0,
-        fence_base_ns: 0,
-        media_write_ns: 0,
-        media_read_ns: 0,
-        media_read_line_ns: 0,
-    };
 }
 
 impl Default for LatencyModel {
@@ -167,7 +157,7 @@ impl Default for PmemConfig {
         PmemConfig {
             size: 64 << 20,
             mode: PmemMode::Fast,
-            latency: LatencyModel::ZERO,
+            latency: LatencyModel::DRAM,
             chaos: ChaosConfig::default(),
         }
     }
@@ -179,7 +169,7 @@ impl PmemConfig {
         PmemConfig {
             size,
             mode: PmemMode::Strict,
-            latency: LatencyModel::ZERO,
+            latency: LatencyModel::DRAM,
             chaos: ChaosConfig::default(),
         }
     }

@@ -1159,7 +1159,7 @@ mod tests {
         let p = PmemPool::new(PmemConfig {
             size: 1 << 20,
             mode: PmemMode::Strict,
-            latency: crate::LatencyModel::ZERO,
+            latency: crate::LatencyModel::DRAM,
             chaos: ChaosConfig {
                 spontaneous_evict_permille: 1000, // evict everything
                 seed: 1,

@@ -107,6 +107,10 @@ const ATOMIC_IMPORT_ALLOWLIST: &[(&str, &str)] = &[
         "crates/bench/",
         "measurement harness; its counters must never become schedule points",
     ),
+    (
+        "perfbench/",
+        "measurement harness; its counters must never become schedule points",
+    ),
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

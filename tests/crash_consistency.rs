@@ -232,7 +232,7 @@ fn chaos_evictions_do_not_break_recovery() {
         let pool = PmemPool::new(PmemConfig {
             size: 64 << 20,
             mode: PmemMode::Strict,
-            latency: LatencyModel::ZERO,
+            latency: LatencyModel::DRAM,
             chaos: ChaosConfig {
                 spontaneous_evict_permille: permille,
                 seed: permille as u64,
