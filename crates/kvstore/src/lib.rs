@@ -59,6 +59,7 @@ enum ItemRef {
     Montage(PHandle<[u8]>),
 }
 
+#[derive(Default)]
 struct Stripe {
     map: HashMap<Key, (ItemRef, u64)>,
     lru: BTreeMap<u64, Key>,
@@ -70,23 +71,13 @@ struct Stripe {
 }
 
 impl Stripe {
-    fn new() -> Self {
-        Stripe {
-            map: HashMap::new(),
-            lru: BTreeMap::new(),
-            ordered: BTreeSet::new(),
-            next_stamp: 0,
-        }
-    }
-
+    /// Restamps `key` as the stripe's most recently used.
     fn touch(&mut self, key: &Key) {
-        if let Some((_, stamp)) = self.map.get(key) {
-            let old = *stamp;
-            self.lru.remove(&old);
-            let new = self.next_stamp;
+        if let Some((_, stamp)) = self.map.get_mut(key) {
+            self.lru.remove(stamp);
+            *stamp = self.next_stamp;
             self.next_stamp += 1;
-            self.lru.insert(new, *key);
-            self.map.get_mut(key).unwrap().1 = new;
+            self.lru.insert(*stamp, *key);
         }
     }
 }
@@ -115,7 +106,7 @@ impl KvStore {
         KvStore {
             backend,
             capacity_per_stripe: (capacity / stripes).max(1),
-            stripes: (0..stripes).map(|_| Mutex::new(Stripe::new())).collect(),
+            stripes: (0..stripes).map(|_| Mutex::default()).collect(),
             len: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             sessions: SessionTable::default(),
@@ -138,14 +129,7 @@ impl KvStore {
                 KV_TAG => {
                     let key: Key = rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap());
                     let mut stripe = store.stripes[store.index(&key)].lock();
-                    let stamp = stripe.next_stamp;
-                    stripe.next_stamp += 1;
-                    stripe
-                        .map
-                        .insert(key, (ItemRef::Montage(item.handle()), stamp));
-                    stripe.lru.insert(stamp, key);
-                    stripe.ordered.insert(key);
-                    store.len.fetch_add(1, Ordering::Relaxed);
+                    store.insert_locked(&mut stripe, key, ItemRef::Montage(item.handle()));
                 }
                 SESSION_TAG => {
                     let Some((sid, rid, op_kind, result)) =
@@ -169,10 +153,7 @@ impl KvStore {
 
     /// Registers the calling worker; returns the id to pass to operations.
     pub fn register_thread(&self) -> usize {
-        match &self.backend {
-            KvBackend::Montage(esys) => esys.register_thread().0,
-            _ => 0,
-        }
+        self.esys().map_or(0, |esys| esys.register_thread().0)
     }
 
     /// Fallible worker registration for connection-oriented front-ends:
@@ -180,16 +161,14 @@ impl KvStore {
     /// should reject the session rather than panic). Transient backends have
     /// no per-thread state, so registration always succeeds with id 0.
     pub fn try_register_thread(&self) -> Option<usize> {
-        match &self.backend {
-            KvBackend::Montage(esys) => esys.try_register_thread().map(|t| t.0),
-            _ => Some(0),
-        }
+        self.esys()
+            .map_or(Some(0), |esys| esys.try_register_thread().map(|t| t.0))
     }
 
     /// Returns a worker id leased via [`KvStore::try_register_thread`] (or
     /// [`KvStore::register_thread`]) so a later session can reuse it.
     pub fn unregister_thread(&self, tid: usize) {
-        if let KvBackend::Montage(esys) = &self.backend {
+        if let Some(esys) = self.esys() {
             esys.unregister_thread(ThreadId(tid));
         }
     }
@@ -257,40 +236,15 @@ impl KvStore {
             .sum()
     }
 
-    fn make_item(&self, tid: usize, key: &Key, value: &[u8]) -> ItemRef {
-        match &self.backend {
-            KvBackend::Dram => ItemRef::Dram(value.into()),
-            KvBackend::Nvm(r) => {
-                let off = r.alloc(value.len().max(1));
-                r.pool().write_bytes(off, value);
-                ItemRef::Nvm(off, value.len() as u32)
-            }
-            KvBackend::Montage(esys) => {
-                let g = esys.begin_op(ThreadId(tid));
-                let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                bytes.extend_from_slice(key);
-                bytes.extend_from_slice(value);
-                ItemRef::Montage(esys.pnew_bytes(&g, KV_TAG, &bytes))
-            }
-        }
-    }
+    // ---- items ----------------------------------------------------------
+    //
+    // Four per-backend primitives: read, create, overwrite, free. The write
+    // path below them is backend-blind. Montage primitives run inside the
+    // caller's operation window `g`; transient backends get `None`.
 
-    fn free_item(&self, tid: usize, item: ItemRef) {
-        match (&self.backend, item) {
-            (_, ItemRef::Dram(_)) => {}
-            (KvBackend::Nvm(r), ItemRef::Nvm(off, _)) => r.dealloc(off),
-            (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
-                let g = esys.begin_op(ThreadId(tid));
-                let _ = esys.pdelete(&g, h);
-            }
-            _ => unreachable!("item/backend mismatch"),
-        }
-    }
-
-    /// memcached `get`: applies `f` to the value bytes on hit.
-    pub fn get<R>(&self, _tid: usize, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let mut stripe = self.stripes[self.index(key)].lock();
-        stripe.touch(key);
+    /// Applies `f` to the key's value bytes, if present, under an
+    /// already-held stripe lock.
+    fn with_value<R>(&self, stripe: &Stripe, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let (item, _) = stripe.map.get(key)?;
         Some(match (&self.backend, item) {
             (_, ItemRef::Dram(b)) => f(b),
@@ -310,67 +264,83 @@ impl KvStore {
         })
     }
 
-    /// memcached `set`: insert or overwrite.
-    pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
-        let mut stripe = self.stripes[self.index(&key)].lock();
-        self.set_locked(tid, &mut stripe, key, value);
+    fn new_item(&self, g: Option<&OpGuard<'_>>, key: &Key, value: &[u8]) -> ItemRef {
+        match &self.backend {
+            KvBackend::Dram => ItemRef::Dram(value.into()),
+            KvBackend::Nvm(r) => {
+                let off = r.alloc(value.len().max(1));
+                r.pool().write_bytes(off, value);
+                ItemRef::Nvm(off, value.len() as u32)
+            }
+            KvBackend::Montage(esys) => {
+                ItemRef::Montage(esys.pnew_bytes(op(g), KV_TAG, &item_bytes(key, value)))
+            }
+        }
     }
 
-    /// [`KvStore::set`] under an already-held stripe lock (the locked
-    /// read-modify-write path applies its verdict without releasing).
-    fn set_locked(&self, tid: usize, stripe: &mut Stripe, key: Key, value: &[u8]) {
-        if let Some((item, _)) = stripe.map.get_mut(&key) {
-            // Update in place where the backend supports it.
-            match (&self.backend, &mut *item) {
-                (_, ItemRef::Dram(b)) if b.len() == value.len() => {
-                    b.copy_from_slice(value);
-                }
-                (_, ItemRef::Dram(b)) => *b = value.into(),
-                (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) if *len as usize == value.len() => {
-                    r.pool().write_bytes(*off, value);
-                }
-                (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
+    /// Overwrites an item's value: in place when the length matches,
+    /// otherwise resized. A Montage resize goes through `replace_bytes`,
+    /// which keeps the payload's uid, so no crash cut recovers both the old
+    /// and the new version of one key.
+    fn overwrite_item(&self, g: Option<&OpGuard<'_>>, item: &mut ItemRef, key: &Key, value: &[u8]) {
+        match (&self.backend, item) {
+            (_, ItemRef::Dram(b)) if b.len() == value.len() => b.copy_from_slice(value),
+            (_, ItemRef::Dram(b)) => *b = value.into(),
+            (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
+                if *len as usize != value.len() {
                     r.dealloc(*off);
-                    let noff = r.alloc(value.len().max(1));
-                    r.pool().write_bytes(noff, value);
-                    *off = noff;
+                    *off = r.alloc(value.len().max(1));
                     *len = value.len() as u32;
                 }
-                (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
-                    let same_len =
-                        esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
-                    let g = esys.begin_op(ThreadId(tid));
-                    if same_len {
-                        *h = esys
-                            .set_bytes(&g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
-                            .expect("stripe lock orders epochs");
-                    } else {
-                        let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                        bytes.extend_from_slice(&key);
-                        bytes.extend_from_slice(value);
-                        let nh = esys.pnew_bytes(&g, KV_TAG, &bytes);
-                        let _ = esys.pdelete(&g, *h);
-                        *h = nh;
-                    }
-                }
-                _ => unreachable!("item/backend mismatch"),
+                r.pool().write_bytes(*off, value);
             }
-            stripe.touch(&key);
-            return;
-        }
-        // Insert (with LRU eviction at capacity).
-        if stripe.map.len() >= self.capacity_per_stripe {
-            if let Some((&oldest, &victim)) = stripe.lru.iter().next() {
-                stripe.lru.remove(&oldest);
-                if let Some((item, _)) = stripe.map.remove(&victim) {
-                    stripe.ordered.remove(&victim);
-                    self.free_item(tid, item);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+            (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
+                let g = op(g);
+                let same_len = esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
+                *h = if same_len {
+                    esys.set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(value))
+                } else {
+                    esys.replace_bytes(g, *h, &item_bytes(key, value))
                 }
+                .expect("stripe lock orders epochs");
             }
+            _ => unreachable!("item/backend mismatch"),
         }
-        let item = self.make_item(tid, &key, value);
+    }
+
+    fn free_item(&self, g: Option<&OpGuard<'_>>, item: ItemRef) {
+        match (&self.backend, item) {
+            (_, ItemRef::Dram(_)) => {}
+            (KvBackend::Nvm(r), ItemRef::Nvm(off, _)) => r.dealloc(off),
+            (KvBackend::Montage(esys), ItemRef::Montage(h)) => {
+                esys.pdelete(op(g), h).expect("stripe lock orders epochs");
+            }
+            _ => unreachable!("item/backend mismatch"),
+        }
+    }
+
+    // ---- the write path -------------------------------------------------
+
+    /// Runs `f` under `key`'s stripe lock and the one operation window each
+    /// public write opens: a single `BEGIN_OP` on Montage, which the
+    /// mutation, any eviction it makes room with and the session descriptor
+    /// all share; nothing on transient backends. The window opens after the
+    /// lock, so every payload the stripe holds is at most the window's epoch.
+    fn write<R>(
+        &self,
+        tid: usize,
+        key: &Key,
+        f: impl FnOnce(Option<&OpGuard<'_>>, &mut Stripe) -> R,
+    ) -> R {
+        let mut stripe = self.stripes[self.index(key)].lock();
+        let g = self.esys().map(|esys| esys.begin_op(ThreadId(tid)));
+        f(g.as_ref(), &mut stripe)
+    }
+
+    /// Files `item` under `key` with a fresh LRU stamp: the one insert into
+    /// the map, the LRU, the ordered mirror and `len`, for writes and
+    /// recovery alike. `key` must be absent.
+    fn insert_locked(&self, stripe: &mut Stripe, key: Key, item: ItemRef) {
         let stamp = stripe.next_stamp;
         stripe.next_stamp += 1;
         stripe.map.insert(key, (item, stamp));
@@ -379,22 +349,75 @@ impl KvStore {
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// memcached `delete`.
-    pub fn delete(&self, tid: usize, key: &Key) -> bool {
-        let mut stripe = self.stripes[self.index(key)].lock();
-        self.delete_locked(tid, &mut stripe, key)
+    /// Insert or overwrite; an insert at capacity first evicts the stripe's
+    /// least recently used key.
+    fn upsert_locked(&self, g: Option<&OpGuard<'_>>, stripe: &mut Stripe, key: Key, value: &[u8]) {
+        if let Some((item, _)) = stripe.map.get_mut(&key) {
+            self.overwrite_item(g, item, &key, value);
+            stripe.touch(&key);
+            return;
+        }
+        if stripe.map.len() >= self.capacity_per_stripe {
+            if let Some(victim) = stripe.lru.values().next().copied() {
+                self.remove_locked(g, stripe, &victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let item = self.new_item(g, &key, value);
+        self.insert_locked(stripe, key, item);
     }
 
-    /// [`KvStore::delete`] under an already-held stripe lock.
-    fn delete_locked(&self, tid: usize, stripe: &mut Stripe, key: &Key) -> bool {
+    fn remove_locked(&self, g: Option<&OpGuard<'_>>, stripe: &mut Stripe, key: &Key) -> bool {
         let Some((item, stamp)) = stripe.map.remove(key) else {
             return false;
         };
         stripe.lru.remove(&stamp);
         stripe.ordered.remove(key);
-        self.free_item(tid, item);
+        self.free_item(g, item);
         self.len.fetch_sub(1, Ordering::Relaxed);
         true
+    }
+
+    /// Runs `decide` on the key's current value and applies its verdict;
+    /// returns `decide`'s reply bytes.
+    fn update_locked(
+        &self,
+        g: Option<&OpGuard<'_>>,
+        stripe: &mut Stripe,
+        key: &Key,
+        decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
+    ) -> Vec<u8> {
+        let current = self.with_value(stripe, key, <[u8]>::to_vec);
+        let (write, reply) = decide(current.as_deref());
+        match write {
+            DetectedWrite::Keep => {}
+            DetectedWrite::Delete => {
+                self.remove_locked(g, stripe, key);
+            }
+            DetectedWrite::Upsert(value) => self.upsert_locked(g, stripe, *key, &value),
+        }
+        reply
+    }
+
+    // ---- public operations ----------------------------------------------
+
+    /// memcached `get`: applies `f` to the value bytes on hit.
+    pub fn get<R>(&self, _tid: usize, key: &Key, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let mut stripe = self.stripes[self.index(key)].lock();
+        stripe.touch(key);
+        self.with_value(&stripe, key, f)
+    }
+
+    /// memcached `set`: insert or overwrite.
+    pub fn set(&self, tid: usize, key: Key, value: &[u8]) {
+        self.write(tid, &key, |g, stripe| {
+            self.upsert_locked(g, stripe, key, value)
+        });
+    }
+
+    /// memcached `delete`.
+    pub fn delete(&self, tid: usize, key: &Key) -> bool {
+        self.write(tid, key, |g, stripe| self.remove_locked(g, stripe, key))
     }
 
     /// Ordered inclusive range scan: every stripe is walked under its lock
@@ -411,7 +434,7 @@ impl KvStore {
             let stripe = stripe.lock();
             for key in stripe.ordered.range(*lo..=*hi) {
                 let value = self
-                    .read_value_locked(&stripe, key)
+                    .with_value(&stripe, key, <[u8]>::to_vec)
                     .expect("ordered mirrors map");
                 out.push((*key, value));
             }
@@ -419,28 +442,6 @@ impl KvStore {
         out.sort_by_key(|e| e.0);
         out.truncate(limit);
         out
-    }
-
-    /// The key's current value bytes under an already-held stripe lock —
-    /// the read half of every locked read-modify-write.
-    fn read_value_locked(&self, stripe: &Stripe, key: &Key) -> Option<Vec<u8>> {
-        let (item, _) = stripe.map.get(key)?;
-        Some(match (&self.backend, item) {
-            (_, ItemRef::Dram(b)) => b.to_vec(),
-            (KvBackend::Nvm(r), ItemRef::Nvm(off, len)) => {
-                r.pool().media_read(*len as usize);
-                // SAFETY: (both lines) the ItemRef was produced by this
-                // arena's own append, so `off..off+len` is in bounds and the
-                // bytes are initialized.
-                let ptr = unsafe { r.pool().at::<u8>(*off) };
-                unsafe { std::slice::from_raw_parts(ptr, *len as usize) }.to_vec()
-            }
-            (KvBackend::Montage(esys), ItemRef::Montage(h)) => esys.peek_bytes_unsafe(*h, |b| {
-                esys.pool().media_read(b.len());
-                b[KEY_BYTES..].to_vec()
-            }),
-            _ => unreachable!("item/backend mismatch"),
-        })
     }
 
     /// An atomic read-modify-write: runs `decide` on the key's current
@@ -457,23 +458,9 @@ impl KvStore {
         key: &Key,
         decide: impl FnOnce(Option<&[u8]>) -> (DetectedWrite, Vec<u8>),
     ) -> Vec<u8> {
-        let mut stripe = self.stripes[self.index(key)].lock();
-        let current = self.read_value_locked(&stripe, key);
-        let (write, reply) = decide(current.as_deref());
-        match &self.backend {
-            KvBackend::Montage(esys) => {
-                let g = esys.begin_op(ThreadId(tid));
-                self.apply_montage_write(esys, &g, &mut stripe, key, write);
-            }
-            _ => match write {
-                DetectedWrite::Keep => {}
-                DetectedWrite::Delete => {
-                    self.delete_locked(tid, &mut stripe, key);
-                }
-                DetectedWrite::Upsert(v) => self.set_locked(tid, &mut stripe, *key, &v),
-            },
-        }
-        reply
+        self.write(tid, key, |g, stripe| {
+            self.update_locked(g, stripe, key, decide)
+        })
     }
 
     // ---- detectable operations ------------------------------------------
@@ -528,28 +515,23 @@ impl KvStore {
                 return DetectOutcome::Stale { last_rid: rec.rid };
             }
         }
-        let (result, handle) = match &self.backend {
-            KvBackend::Montage(esys) => {
-                let mut stripe = self.stripes[self.index(key)].lock();
-                let g = esys.begin_op(ThreadId(tid));
-                let current = self.read_value_locked(&stripe, key);
-                let (write, result) = decide(current.as_deref());
-                self.apply_montage_write(esys, &g, &mut stripe, key, write);
+        let (result, handle) = self.write(tid, key, |g, stripe| {
+            let result = self.update_locked(g, stripe, key, decide);
+            // The one Montage-only step: the descriptor joins the
+            // mutation's window. Transient backends dedupe in DRAM only.
+            let handle = self.esys().zip(g).map(|(esys, g)| {
                 let desc = session_table::encode_descriptor(sid, rid, op_kind, &result);
-                let handle = match entry.as_ref().and_then(|r| r.handle) {
+                match entry.as_ref().and_then(|r| r.handle) {
                     // Fixed-size descriptor: always a same-length overwrite,
                     // so uid cancellation keeps exactly one durable version.
                     Some(h) => esys
-                        .set_bytes(&g, h, |b| b.copy_from_slice(&desc))
+                        .set_bytes(g, h, |b| b.copy_from_slice(&desc))
                         .expect("session slot lock orders epochs"),
-                    None => esys.pnew_bytes(&g, SESSION_TAG, &desc),
-                };
-                (result, Some(handle))
-            }
-            // Transient backends dedupe in DRAM only; the mutation itself
-            // runs the same locked read-modify-write as the plain path.
-            _ => (self.update(tid, key, decide), None),
-        };
+                    None => esys.pnew_bytes(g, SESSION_TAG, &desc),
+                }
+            });
+            (result, handle)
+        });
         *entry = Some(SessionRecord {
             rid,
             op_kind,
@@ -558,80 +540,6 @@ impl KvStore {
             recovered: false,
         });
         DetectOutcome::Applied(result)
-    }
-
-    /// Applies a [`DetectedWrite`] to a Montage stripe under the caller's
-    /// already-open operation guard (same index/LRU bookkeeping as
-    /// [`KvStore::set`]/[`KvStore::delete`], but no nested `begin_op`).
-    fn apply_montage_write(
-        &self,
-        esys: &Arc<EpochSys>,
-        g: &OpGuard<'_>,
-        stripe: &mut Stripe,
-        key: &Key,
-        write: DetectedWrite,
-    ) {
-        let pdelete_item = |item: ItemRef| match item {
-            ItemRef::Montage(h) => {
-                let _ = esys.pdelete(g, h);
-            }
-            _ => unreachable!("item/backend mismatch"),
-        };
-        match write {
-            DetectedWrite::Keep => {}
-            DetectedWrite::Delete => {
-                if let Some((item, stamp)) = stripe.map.remove(key) {
-                    stripe.lru.remove(&stamp);
-                    stripe.ordered.remove(key);
-                    pdelete_item(item);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            DetectedWrite::Upsert(value) => {
-                if let Some((item, _)) = stripe.map.get_mut(key) {
-                    let ItemRef::Montage(h) = item else {
-                        unreachable!("item/backend mismatch")
-                    };
-                    let same_len =
-                        esys.peek_bytes_unsafe(*h, |b| b.len() == KEY_BYTES + value.len());
-                    if same_len {
-                        *h = esys
-                            .set_bytes(g, *h, |b| b[KEY_BYTES..].copy_from_slice(&value))
-                            .expect("stripe lock orders epochs");
-                    } else {
-                        let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                        bytes.extend_from_slice(key);
-                        bytes.extend_from_slice(&value);
-                        let nh = esys.pnew_bytes(g, KV_TAG, &bytes);
-                        let _ = esys.pdelete(g, *h);
-                        *h = nh;
-                    }
-                    stripe.touch(key);
-                    return;
-                }
-                if stripe.map.len() >= self.capacity_per_stripe {
-                    if let Some((&oldest, &victim)) = stripe.lru.iter().next() {
-                        stripe.lru.remove(&oldest);
-                        if let Some((item, _)) = stripe.map.remove(&victim) {
-                            stripe.ordered.remove(&victim);
-                            pdelete_item(item);
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let mut bytes = Vec::with_capacity(KEY_BYTES + value.len());
-                bytes.extend_from_slice(key);
-                bytes.extend_from_slice(&value);
-                let item = ItemRef::Montage(esys.pnew_bytes(g, KV_TAG, &bytes));
-                let stamp = stripe.next_stamp;
-                stripe.next_stamp += 1;
-                stripe.map.insert(*key, (item, stamp));
-                stripe.lru.insert(stamp, *key);
-                stripe.ordered.insert(*key);
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Exactly-once counters and table occupancy for this store.
@@ -647,6 +555,17 @@ impl KvStore {
         let entry = slot.lock();
         entry.as_ref().map(|r| (r.rid, r.op_kind, r.result.clone()))
     }
+}
+
+/// The operation window a Montage item primitive runs in; only transient
+/// backends are handed `None`.
+fn op<'g, 'e>(g: Option<&'g OpGuard<'e>>) -> &'g OpGuard<'e> {
+    g.expect("Montage writes run inside an operation window")
+}
+
+/// A Montage item's payload bytes: the key, then the value.
+fn item_bytes(key: &Key, value: &[u8]) -> Vec<u8> {
+    [key.as_slice(), value].concat()
 }
 
 /// Builds the padded key for record `i` (as in the paper's workloads).
@@ -704,19 +623,129 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let kv = KvStore::new(KvBackend::Dram, 1, 3);
-        let tid = 0;
-        kv.set(tid, make_key(1), b"a");
-        kv.set(tid, make_key(2), b"b");
-        kv.set(tid, make_key(3), b"c");
-        kv.get(tid, &make_key(1), |_| ()); // touch 1 → 2 is now LRU
-        kv.set(tid, make_key(4), b"d");
-        assert_eq!(kv.evictions(), 1);
-        assert!(
-            kv.get(tid, &make_key(2), |_| ()).is_none(),
-            "LRU victim is 2"
+        for backend in backends() {
+            let kv = KvStore::new(backend, 1, 3);
+            let tid = kv.register_thread();
+            kv.set(tid, make_key(1), b"a");
+            kv.set(tid, make_key(2), b"b");
+            kv.set(tid, make_key(3), b"c");
+            kv.get(tid, &make_key(1), |_| ()); // touch 1 → 2 is now LRU
+            kv.set(tid, make_key(4), b"d");
+            assert_eq!(kv.evictions(), 1);
+            assert!(
+                kv.get(tid, &make_key(2), |_| ()).is_none(),
+                "LRU victim is 2"
+            );
+            assert!(kv.get(tid, &make_key(1), |_| ()).is_some());
+            assert_eq!(kv.len(), 3);
+        }
+    }
+
+    /// The store's expected contents: live values, LRU order (least
+    /// recently used first) and the keys evicted or deleted since.
+    struct Model {
+        cap: usize,
+        version: u8,
+        live: BTreeMap<u64, Vec<u8>>,
+        lru: Vec<u64>,
+        gone: BTreeSet<u64>,
+    }
+
+    impl Model {
+        fn set(&mut self, kv: &KvStore, tid: usize, i: u64, len: usize) {
+            self.version += 1;
+            let value = vec![self.version; len];
+            kv.set(tid, make_key(i), &value);
+            self.lru.retain(|&k| k != i);
+            if !self.live.contains_key(&i) && self.live.len() == self.cap {
+                let victim = self.lru.remove(0);
+                self.live.remove(&victim);
+                self.gone.insert(victim);
+            }
+            self.lru.push(i);
+            self.gone.remove(&i);
+            self.live.insert(i, value);
+        }
+
+        fn delete(&mut self, kv: &KvStore, tid: usize, i: u64) {
+            assert_eq!(kv.delete(tid, &make_key(i)), self.live.remove(&i).is_some());
+            self.lru.retain(|&k| k != i);
+            self.gone.insert(i);
+        }
+    }
+
+    #[test]
+    fn montage_resizes_and_evictions_recover_each_key_once() {
+        // One stripe, so the model's LRU order is the store's.
+        let esys = EpochSys::format(
+            PmemPool::new(PmemConfig::strict_for_test(64 << 20)),
+            EsysConfig::default(),
         );
-        assert!(kv.get(tid, &make_key(1), |_| ()).is_some());
+        let kv = KvStore::new(KvBackend::Montage(esys.clone()), 1, 6);
+        let tid = kv.register_thread();
+        let mut m = Model {
+            cap: 6,
+            version: 0,
+            live: BTreeMap::new(),
+            lru: Vec::new(),
+            gone: BTreeSet::new(),
+        };
+        for i in 0..6 {
+            m.set(&kv, tid, i, 8);
+        }
+        // Different-length overwrites in the epoch that created the items.
+        let e0 = esys.curr_epoch();
+        m.set(&kv, tid, 1, 40);
+        m.set(&kv, tid, 1, 3);
+        m.set(&kv, tid, 2, 100);
+        assert_eq!(esys.curr_epoch(), e0);
+        // Resizes of older payloads, then a second resize in the new epoch.
+        esys.advance_epoch();
+        m.set(&kv, tid, 3, 50);
+        m.set(&kv, tid, 3, 9);
+        m.set(&kv, tid, 2, 8);
+        // Inserts at capacity evict 0, 4 and 5; then 1 is resized and 3, a
+        // key resized across the boundary, is evicted.
+        for i in 6..9 {
+            m.set(&kv, tid, i, 8);
+        }
+        m.set(&kv, tid, 1, 64);
+        m.set(&kv, tid, 9, 8);
+        m.delete(&kv, tid, 6);
+        m.delete(&kv, tid, 42);
+        esys.advance_epoch();
+        m.set(&kv, tid, 2, 20);
+        m.set(&kv, tid, 10, 8);
+        m.set(&kv, tid, 11, 8);
+        assert_eq!(kv.len(), m.live.len());
+        assert_eq!(kv.evictions(), 5);
+        esys.sync();
+
+        let rec = montage::recovery::recover(esys.pool().crash(), EsysConfig::default(), 2);
+        let mut recovered: Vec<Key> = rec
+            .shards
+            .iter()
+            .flatten()
+            .filter(|item| item.tag == KV_TAG)
+            .map(|item| rec.with_bytes(item, |b| b[..KEY_BYTES].try_into().unwrap()))
+            .collect();
+        recovered.sort();
+        let mut expected: Vec<Key> = m.live.keys().map(|&i| make_key(i)).collect();
+        expected.sort();
+        assert_eq!(recovered, expected, "each live key recovers exactly once");
+        let kv2 = KvStore::recover(rec.esys.clone(), 1, 6, &rec);
+        let tid2 = kv2.register_thread();
+        assert_eq!(kv2.len(), m.live.len());
+        for (i, value) in &m.live {
+            assert_eq!(
+                kv2.get(tid2, &make_key(*i), |v| v.to_vec()).as_ref(),
+                Some(value),
+                "key {i}"
+            );
+        }
+        for i in &m.gone {
+            assert!(kv2.get(tid2, &make_key(*i), |_| ()).is_none(), "key {i}");
+        }
     }
 
     #[test]

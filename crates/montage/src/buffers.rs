@@ -918,8 +918,10 @@ mod tests {
                         // The epoch clock only reaches e after e-4 was
                         // drained (by the advance that moved it to e-2), so
                         // an owner can never push into a bucket that still
-                        // holds entries; model that constraint here.
-                        while b.min_pending(0) <= e - 4 {
+                        // holds entries; model that constraint here. Also
+                        // wait out drainers still inside a claim window, so
+                        // the push never help-flushes a claimed slot.
+                        while b.min_pending(0) <= e - 4 || b.debug_claimed(0) != 0 {
                             std::thread::yield_now();
                         }
                         for i in 0..PER_ROUND {

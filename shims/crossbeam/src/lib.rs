@@ -469,10 +469,18 @@ pub mod epoch {
     mod tests {
         use super::*;
         use std::sync::atomic::AtomicU64 as StdAtomicU64;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex, MutexGuard};
+
+        /// Serializes the tests that pin: they share the global era, so one
+        /// test's live pin would hold back another's collection.
+        fn serial() -> MutexGuard<'static, ()> {
+            static PINS: Mutex<()> = Mutex::new(());
+            PINS.lock().unwrap_or_else(|e| e.into_inner())
+        }
 
         #[test]
         fn atomic_publish_and_read() {
+            let _serial = serial();
             let a = Atomic::new(41u64);
             let g = pin();
             let s = a.load(Ordering::Acquire, &g);
@@ -483,6 +491,7 @@ pub mod epoch {
 
         #[test]
         fn tags_ride_low_bits() {
+            let _serial = serial();
             let a = Atomic::new(7u64);
             let g = pin();
             let s = a.load(Ordering::Acquire, &g).with_tag(1);
@@ -494,6 +503,7 @@ pub mod epoch {
 
         #[test]
         fn deferred_work_eventually_runs() {
+            let _serial = serial();
             let hits = Arc::new(StdAtomicU64::new(0));
             {
                 let g = pin();
@@ -515,6 +525,7 @@ pub mod epoch {
 
         #[test]
         fn pinned_reader_blocks_reclamation() {
+            let _serial = serial();
             let hits = Arc::new(StdAtomicU64::new(0));
             let reader = pin();
             {
@@ -549,6 +560,7 @@ pub mod epoch {
 
         #[test]
         fn concurrent_defer_and_collect_stress() {
+            let _serial = serial();
             let freed = Arc::new(StdAtomicU64::new(0));
             let mut handles = vec![];
             for _ in 0..4 {
